@@ -32,18 +32,15 @@ check:
 # per-stage latency quantiles (from the obs histograms) to
 # BENCH_obs.json, the streaming update-vs-cold comparison that writes
 # BENCH_incremental.json (and fails if the incremental re-solve loses
-# its speedup), the mixed-precision storage comparison that writes
-# BENCH_precision.json (and fails if float32 storage loses its SpMV
-# speedup or its float64 equivalence), the cross-session artifact-cache
-# comparison that writes BENCH_cache.json (and fails if warm sessions
-# lose their speedup or their bit-identity to cold), then the
-# trajectory report comparing the fresh numbers against the previously
-# committed ones (BENCH_REPORT.md/.json).
+# its speedup), the cross-session artifact-cache comparison that writes
+# BENCH_cache.json (and fails if warm sessions lose their speedup or
+# their bit-identity to cold), then the trajectory report comparing the
+# fresh numbers against the previously committed ones
+# (BENCH_REPORT.md/.json).
 bench:
 	$(GO) test -bench=. -benchmem -short ./...
 	$(GO) run ./cmd/benchobs -runs 5 -size 32 -out BENCH_obs.json
 	$(GO) run ./cmd/benchincr -size 64 -updates 4 -out BENCH_incremental.json
-	$(GO) run ./cmd/benchprec -out BENCH_precision.json
 	$(GO) run ./cmd/benchcache -size 48 -rounds 3 -out BENCH_cache.json
 	$(GO) run ./cmd/benchreport -out BENCH_REPORT
 

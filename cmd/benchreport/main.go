@@ -65,22 +65,6 @@ type incrStep struct {
 	Speedup         float64 `json:"speedup"`
 }
 
-// precReport mirrors the BENCH_precision.json fields the gate
-// consumes.
-type precReport struct {
-	Size                 int     `json:"size"`
-	SpMVSize             int     `json:"spmv_size"`
-	NNZ                  int     `json:"nnz"`
-	SpMVF64MS            float64 `json:"spmv_f64_ms"`
-	SpMVF32MS            float64 `json:"spmv_f32_ms"`
-	SpMVSpeedup          float64 `json:"spmv_speedup"`
-	GMRESF64Iterations   int     `json:"gmres_f64_iterations"`
-	GMRESMixedIterations int     `json:"gmres_mixed_iterations"`
-	IterationRatio       float64 `json:"iteration_ratio"`
-	GMRESMixedFinalRel   float64 `json:"gmres_mixed_final_rel"`
-	MaxDivergenceMM      float64 `json:"max_divergence_mm"`
-}
-
 // cacheReport mirrors the BENCH_cache.json fields the gate consumes.
 type cacheReport struct {
 	Size            int     `json:"size"`
@@ -97,13 +81,8 @@ type cacheReport struct {
 
 // maxDivergenceMM is the hard equivalence bound on the incremental
 // path: update and cold solutions of the same scan may differ by at
-// most this much (well below voxel resolution). The mixed-precision
-// registration is held to the same bound.
+// most this much (well below voxel resolution).
 const maxDivergenceMM = 0.01
-
-// maxIterationRatio bounds how many extra iterations the float32
-// Krylov basis may cost GMRES relative to the float64 baseline.
-const maxIterationRatio = 1.10
 
 // metricDelta is one tracked metric compared against the previous
 // commit.
@@ -139,32 +118,27 @@ func main() {
 	tolerance := flag.Float64("tolerance", 0.5, "relative worsening tolerated before a timing metric counts as regressed")
 	obsPath := flag.String("obs", "BENCH_obs.json", "pipeline benchmark artifact")
 	incrPath := flag.String("incr", "BENCH_incremental.json", "incremental benchmark artifact")
-	precPath := flag.String("prec", "BENCH_precision.json", "mixed-precision benchmark artifact")
 	cachePath := flag.String("cache", "BENCH_cache.json", "artifact-cache benchmark artifact")
 	flag.Parse()
 
-	rep := trajectoryReport{BaselineRef: *baseline, Files: []string{*obsPath, *incrPath, *precPath, *cachePath}}
+	rep := trajectoryReport{BaselineRef: *baseline, Files: []string{*obsPath, *incrPath, *cachePath}}
 
 	obsCur, obsViol := loadObs(readFileOrDie(*obsPath), *obsPath)
 	incrCur, incrViol := loadIncr(readFileOrDie(*incrPath), *incrPath)
-	precCur, precViol := loadPrec(readFileOrDie(*precPath), *precPath)
 	cacheCur, cacheViol := loadCache(readFileOrDie(*cachePath), *cachePath)
 	rep.Violations = append(rep.Violations, obsViol...)
 	rep.Violations = append(rep.Violations, incrViol...)
-	rep.Violations = append(rep.Violations, precViol...)
 	rep.Violations = append(rep.Violations, cacheViol...)
 
 	// The previous commit's artifacts; nil when unavailable.
 	obsBase, _ := loadObsLenient(baselineBytes(*baseline, *obsPath))
 	incrBase, _ := loadIncrLenient(baselineBytes(*baseline, *incrPath))
-	precBase, _ := loadPrecLenient(baselineBytes(*baseline, *precPath))
 	cacheBase, _ := loadCacheLenient(baselineBytes(*baseline, *cachePath))
 
 	rep.Metrics = compare(obsCur, obsBase, incrCur, incrBase, *obsPath, *incrPath, *tolerance)
-	rep.Metrics = append(rep.Metrics, comparePrec(precCur, precBase, *precPath, *tolerance)...)
 	rep.Metrics = append(rep.Metrics, compareCache(cacheCur, cacheBase, *cachePath, *tolerance)...)
 
-	md := renderMarkdown(&rep, obsCur, incrCur, precCur, cacheCur)
+	md := renderMarkdown(&rep, obsCur, incrCur, cacheCur)
 	if *out != "" {
 		if err := os.WriteFile(*out+".md", []byte(md), 0o644); err != nil {
 			fatalf("write %s.md: %v", *out, err)
@@ -303,47 +277,6 @@ func loadIncrLenient(data []byte) (*incrReport, []string) {
 	return loadIncr(data, "(baseline)")
 }
 
-// loadPrec parses and validates the mixed-precision artifact. The hard
-// floors: storage demotion must never be a slowdown, the float32
-// Krylov basis may cost at most 10% extra iterations, and the
-// registered displacement field must stay within the same equivalence
-// bound the incremental path is held to.
-func loadPrec(data []byte, path string) (*precReport, []string) {
-	var r precReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, []string{fmt.Sprintf("%s: malformed JSON: %v", path, err)}
-	}
-	var viol []string
-	bad := func(format string, args ...any) {
-		viol = append(viol, path+": "+fmt.Sprintf(format, args...))
-	}
-	if r.NNZ <= 0 {
-		bad("nnz = %d, want > 0", r.NNZ)
-	}
-	if r.SpMVSpeedup < 1 || math.IsNaN(r.SpMVSpeedup) {
-		bad("spmv_speedup = %.3f: float32 storage must not be slower than float64", r.SpMVSpeedup)
-	}
-	if r.IterationRatio <= 0 || r.IterationRatio > maxIterationRatio || math.IsNaN(r.IterationRatio) {
-		bad("iteration_ratio = %.3f exceeds the %.2f bound on mixed-precision convergence cost",
-			r.IterationRatio, maxIterationRatio)
-	}
-	if r.GMRESMixedIterations <= 0 {
-		bad("gmres_mixed_iterations = %d, want > 0", r.GMRESMixedIterations)
-	}
-	if r.MaxDivergenceMM > maxDivergenceMM || math.IsNaN(r.MaxDivergenceMM) {
-		bad("max_divergence_mm = %g exceeds the %g mm equivalence bound",
-			r.MaxDivergenceMM, maxDivergenceMM)
-	}
-	return &r, viol
-}
-
-func loadPrecLenient(data []byte) (*precReport, []string) {
-	if data == nil {
-		return nil, nil
-	}
-	return loadPrec(data, "(baseline)")
-}
-
 // loadCache parses and validates the artifact-cache benchmark. Its hard
 // floors are stricter than the timing metrics: a warm session must
 // never be slower than a cold one, the warm rounds must actually hit
@@ -427,37 +360,6 @@ func compare(obsCur, obsBase *obsReport, incrCur, incrBase *incrReport, obsPath,
 	return out
 }
 
-// comparePrec builds the tracked-metric deltas of the mixed-precision
-// artifact, with the same tolerance semantics as compare.
-func comparePrec(cur, base *precReport, path string, tol float64) []metricDelta {
-	if cur == nil {
-		return nil
-	}
-	var out []metricDelta
-	add := func(metric string, c, b float64, hasBase bool, badWhenUp bool) {
-		d := metricDelta{File: path, Metric: metric, Current: c, HasBase: hasBase}
-		if hasBase && b != 0 {
-			d.Baseline = b
-			rel := (c - b) / math.Abs(b)
-			if !badWhenUp {
-				rel = -rel
-			}
-			d.RelChange = rel
-			d.Regression = rel > tol
-		}
-		out = append(out, d)
-	}
-	hasBase := base != nil && base.Size == cur.Size && base.SpMVSize == cur.SpMVSize
-	b := precReport{}
-	if hasBase {
-		b = *base
-	}
-	add("spmv_speedup", cur.SpMVSpeedup, b.SpMVSpeedup, hasBase, false)
-	add("iteration_ratio", cur.IterationRatio, b.IterationRatio, hasBase, true)
-	add("max_divergence_mm", cur.MaxDivergenceMM, b.MaxDivergenceMM, hasBase, true)
-	return out
-}
-
 // compareCache builds the tracked-metric deltas of the artifact-cache
 // benchmark, with the same tolerance semantics as compare.
 func compareCache(cur, base *cacheReport, path string, tol float64) []metricDelta {
@@ -489,7 +391,7 @@ func compareCache(cur, base *cacheReport, path string, tol float64) []metricDelt
 }
 
 // renderMarkdown renders the human-facing trajectory report.
-func renderMarkdown(rep *trajectoryReport, obs *obsReport, incr *incrReport, prec *precReport, cache *cacheReport) string {
+func renderMarkdown(rep *trajectoryReport, obs *obsReport, incr *incrReport, cache *cacheReport) string {
 	var b strings.Builder
 	b.WriteString("# Perf trajectory\n\n")
 	fmt.Fprintf(&b, "Baseline: `%s`\n\n", rep.BaselineRef)
@@ -527,15 +429,6 @@ func renderMarkdown(rep *trajectoryReport, obs *obsReport, incr *incrReport, pre
 		fmt.Fprintf(&b, "- update mean: %.1f ms (cold %.1f ms)\n", incr.UpdateMeanMS, incr.ColdMeanMS)
 		fmt.Fprintf(&b, "- max update/cold divergence: %.3g mm (bound %g mm)\n\n",
 			incr.MaxDivergenceMM, maxDivergenceMM)
-	}
-
-	if prec != nil {
-		fmt.Fprintf(&b, "## Mixed precision (spmv size %d, solve size %d)\n\n", prec.SpMVSize, prec.Size)
-		fmt.Fprintf(&b, "- SpMV float32-storage speedup: **%.2fx** (%d nonzeros)\n", prec.SpMVSpeedup, prec.NNZ)
-		fmt.Fprintf(&b, "- GMRES iterations: %d (float64) vs %d (mixed), ratio %.3f (bound %.2f)\n",
-			prec.GMRESF64Iterations, prec.GMRESMixedIterations, prec.IterationRatio, maxIterationRatio)
-		fmt.Fprintf(&b, "- max registration divergence: %.3g mm (bound %g mm)\n\n",
-			prec.MaxDivergenceMM, maxDivergenceMM)
 	}
 
 	if cache != nil {

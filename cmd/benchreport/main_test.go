@@ -14,11 +14,6 @@ const goodIncr = `{"size":64,"updates":2,"update_mean_ms":500,"cold_mean_ms":180
 "steps":[{"warm_started":true,"iterations_saved":30,"speedup":3.5},
 {"warm_started":true,"iterations_saved":28,"speedup":3.7}]}`
 
-const goodPrec = `{"size":40,"spmv_size":96,"nnz":5772987,
-"spmv_f64_ms":10.1,"spmv_f32_ms":5.0,"spmv_speedup":2.02,"spmv_speedup_median":1.2,
-"gmres_f64_iterations":468,"gmres_mixed_iterations":465,"iteration_ratio":0.994,
-"gmres_mixed_final_rel":9.9e-6,"max_divergence_mm":5.1e-6}`
-
 const goodCache = `{"size":48,"rounds":3,"ranks":1,"cell_size":1,
 "cold_mean_ms":3643,"warm_mean_ms":1493,"speedup":2.44,
 "hits":15,"misses":5,"evictions":0,
@@ -73,72 +68,6 @@ func TestLoadIncrInvariants(t *testing.T) {
 	}
 }
 
-func TestLoadPrecInvariants(t *testing.T) {
-	if _, viol := loadPrec([]byte(goodPrec), "x"); len(viol) != 0 {
-		t.Fatalf("clean artifact flagged: %v", viol)
-	}
-	for _, tc := range []struct {
-		name, from, to, want string
-	}{
-		{"slower than f64", `"spmv_speedup":2.02`, `"spmv_speedup":0.9`, "must not be slower"},
-		{"iteration blowup", `"iteration_ratio":0.994`, `"iteration_ratio":1.25`, "iteration_ratio"},
-		{"diverged", `"max_divergence_mm":5.1e-6`, `"max_divergence_mm":0.3`, "equivalence bound"},
-		{"empty solve", `"gmres_mixed_iterations":465`, `"gmres_mixed_iterations":0`, "gmres_mixed_iterations"},
-	} {
-		_, viol := loadPrec([]byte(strings.Replace(goodPrec, tc.from, tc.to, 1)), "x")
-		found := false
-		for _, v := range viol {
-			if strings.Contains(v, tc.want) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("%s: violations %v missing %q", tc.name, viol, tc.want)
-		}
-	}
-	if _, viol := loadPrec([]byte("{"), "x"); len(viol) == 0 {
-		t.Error("malformed JSON not flagged")
-	}
-}
-
-func TestComparePrec(t *testing.T) {
-	cur, _ := loadPrec([]byte(goodPrec), "x")
-
-	ms := comparePrec(cur, cur, "p", 0.5)
-	for _, m := range ms {
-		if m.Regression {
-			t.Errorf("identical baseline flagged %s", m.Metric)
-		}
-		if !m.HasBase {
-			t.Errorf("%s lost its baseline", m.Metric)
-		}
-	}
-
-	// A speedup collapsing beyond tolerance regresses; divergence growing
-	// within its (still-valid) bound but beyond tolerance regresses too.
-	base := *cur
-	base.SpMVSpeedup = cur.SpMVSpeedup * 2.5
-	ms = comparePrec(cur, &base, "p", 0.5)
-	flagged := false
-	for _, m := range ms {
-		if m.Metric == "spmv_speedup" && m.Regression {
-			flagged = true
-		}
-	}
-	if !flagged {
-		t.Errorf("halved spmv_speedup not flagged: %+v", ms)
-	}
-
-	// A baseline from a different matrix size is not comparable.
-	other := *cur
-	other.SpMVSize = 64
-	for _, m := range comparePrec(cur, &other, "p", 0.5) {
-		if m.HasBase {
-			t.Errorf("%s compared against a different-size baseline", m.Metric)
-		}
-	}
-}
-
 func TestCompareFlagsRegressions(t *testing.T) {
 	obsCur, _ := loadObs([]byte(goodObs), "x")
 	incrCur, _ := loadIncr([]byte(goodIncr), "x")
@@ -190,21 +119,18 @@ func TestCompareFlagsRegressions(t *testing.T) {
 func TestRenderMarkdownShape(t *testing.T) {
 	obsCur, _ := loadObs([]byte(goodObs), "x")
 	incrCur, _ := loadIncr([]byte(goodIncr), "x")
-	precCur, _ := loadPrec([]byte(goodPrec), "x")
 	cacheCur, _ := loadCache([]byte(goodCache), "x")
 	rep := trajectoryReport{
 		BaselineRef: "HEAD",
 		Metrics:     compare(obsCur, obsCur, incrCur, incrCur, "o", "i", 0.5),
 		Violations:  []string{"x: example violation"},
 	}
-	rep.Metrics = append(rep.Metrics, comparePrec(precCur, precCur, "p", 0.5)...)
 	rep.Metrics = append(rep.Metrics, compareCache(cacheCur, cacheCur, "c", 0.5)...)
-	md := renderMarkdown(&rep, obsCur, incrCur, precCur, cacheCur)
+	md := renderMarkdown(&rep, obsCur, incrCur, cacheCur)
 	for _, want := range []string{
 		"# Perf trajectory", "## Tracked metrics", "total_seconds",
 		"## Pipeline stages", "resampling",
 		"## Incremental path", "3.60x",
-		"## Mixed precision", "2.02x",
 		"## Artifact cache", "2.44x", "15 hits / 5 misses",
 		"## Violations", "example violation",
 	} {
@@ -238,9 +164,6 @@ func TestLenientLoadersPassNilThrough(t *testing.T) {
 	if r, viol := loadIncrLenient(nil); r != nil || viol != nil {
 		t.Errorf("loadIncrLenient(nil) = (%v, %v), want (nil, nil)", r, viol)
 	}
-	if r, viol := loadPrecLenient(nil); r != nil || viol != nil {
-		t.Errorf("loadPrecLenient(nil) = (%v, %v), want (nil, nil)", r, viol)
-	}
 	if r, viol := loadCacheLenient(nil); r != nil || viol != nil {
 		t.Errorf("loadCacheLenient(nil) = (%v, %v), want (nil, nil)", r, viol)
 	}
@@ -249,10 +172,8 @@ func TestLenientLoadersPassNilThrough(t *testing.T) {
 func TestCompareWithoutBaselineIsNotRegression(t *testing.T) {
 	obsCur, _ := loadObs([]byte(goodObs), "x")
 	incrCur, _ := loadIncr([]byte(goodIncr), "x")
-	precCur, _ := loadPrec([]byte(goodPrec), "x")
 	cacheCur, _ := loadCache([]byte(goodCache), "x")
 	deltas := compare(obsCur, nil, incrCur, nil, "o", "i", 0.5)
-	deltas = append(deltas, comparePrec(precCur, nil, "p", 0.5)...)
 	deltas = append(deltas, compareCache(cacheCur, nil, "c", 0.5)...)
 	if len(deltas) == 0 {
 		t.Fatal("compare produced no metrics")

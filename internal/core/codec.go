@@ -103,6 +103,14 @@ func (r *codecReader) fail(what string) {
 	}
 }
 
+// invalid poisons the reader with a content error: the bytes were all
+// there, but they describe an object later stages cannot index safely.
+func (r *codecReader) invalid(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("core: artifact decode: "+format, args...)
+	}
+}
+
 func (r *codecReader) u64(what string) uint64 {
 	if r.err != nil {
 		return 0
@@ -320,6 +328,22 @@ func decodeMesh(r *codecReader) *mesh.Mesh {
 		m.TetLabel = make([]volume.Label, nl)
 		for i := range m.TetLabel {
 			m.TetLabel[i] = volume.Label(lb[i])
+		}
+	}
+	if r.err != nil {
+		return m
+	}
+	// Assembly indexes Nodes by every tet id and TetLabel by every tet.
+	if nl != nt {
+		r.invalid("mesh tet labels do not match its tets")
+		return m
+	}
+	for e, t := range m.Tets {
+		for _, id := range t {
+			if id < 0 || int(id) >= len(m.Nodes) {
+				r.invalid("mesh tet %d references a missing node", e)
+				return m
+			}
 		}
 	}
 	return m

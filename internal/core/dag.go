@@ -364,6 +364,20 @@ func (ps *pipeState) decodeField(name string, r *codecReader) error {
 		if err != nil {
 			return err
 		}
+		// The table must resample onto the scan's grid from the nodes of
+		// the system's mesh, both already in the state by dependency order.
+		if ps.sys == nil || ps.intraop == nil {
+			return errMissingArtifact("sys")
+		}
+		g, _, nodes, _ := tab.TableParts()
+		if g != ps.intraop.Grid {
+			return fmt.Errorf("core: artifact decode: interp table is not on the scan grid")
+		}
+		for _, id := range nodes {
+			if 3*int(id) >= ps.sys.NumDOF {
+				return fmt.Errorf("core: artifact decode: interp table node %d is not in the system", id)
+			}
+		}
 		ps.interp = tab
 	default:
 		return fmt.Errorf("core: no codec for artifact %q", name)

@@ -665,17 +665,10 @@ func (p *Pipeline) stagePreopInterp(_ context.Context, ps *pipeState) error {
 func (p *Pipeline) stageResample(_ context.Context, ps *pipeState) error {
 	res, cache := ps.res, ps.cache
 	nodeU := ps.solveRes.NodeU
-	if cache != nil && p.cfg.Solver.StoragePrecision == solver.PrecisionFloat32 {
-		// Mixed-precision sessions keep only the float32-weight table
-		// (same coverage, float64 gather accumulation).
-		cache.interp32 = ps.interp.Compact()
-		res.Forward = cache.interp32.Apply(nodeU)
-	} else {
-		if cache != nil {
-			cache.interp = ps.interp
-		}
-		res.Forward = ps.interp.Apply(nodeU)
+	if cache != nil {
+		cache.interp = ps.interp
 	}
+	res.Forward = ps.interp.Apply(nodeU)
 	res.Backward = res.Forward.Invert(4)
 	res.Warped = res.Backward.WarpScalar(ps.alignedPreop)
 	return nil

@@ -10,7 +10,6 @@ import (
 	"repro/internal/fem"
 	"repro/internal/mesh"
 	"repro/internal/obs"
-	"repro/internal/solver"
 	"repro/internal/surface"
 	"repro/internal/transform"
 	"repro/internal/volume"
@@ -64,10 +63,6 @@ type sessionCache struct {
 	// mesh on the session grid; updates rasterize their solution through
 	// it instead of re-locating every voxel.
 	interp *fem.InterpTable
-	// interp32 replaces interp for mixed-precision sessions
-	// (Config.Solver.StoragePrecision == solver.PrecisionFloat32): same
-	// coverage with float32-stored weights.
-	interp32 *fem.InterpTable32
 	// prevU seeds the next warm-started solve.
 	prevU []float64
 	// coldIterations is the baseline cold solve's iteration count, the
@@ -271,17 +266,10 @@ func (p *Pipeline) stageUpdateSolve(ctx context.Context, ps *pipeState) error {
 func (p *Pipeline) stageUpdateResample(_ context.Context, ps *pipeState) error {
 	res, cache, sys := ps.res, ps.cache, ps.sys
 	nodeU := ps.solveRes.NodeU
-	if p.cfg.Solver.StoragePrecision == solver.PrecisionFloat32 {
-		if cache.interp32 == nil {
-			cache.interp32 = sys.BuildInterpTable(ps.intraop.Grid).Compact()
-		}
-		res.Forward = cache.interp32.Apply(nodeU)
-	} else {
-		if cache.interp == nil {
-			cache.interp = sys.BuildInterpTable(ps.intraop.Grid)
-		}
-		res.Forward = cache.interp.Apply(nodeU)
+	if cache.interp == nil {
+		cache.interp = sys.BuildInterpTable(ps.intraop.Grid)
 	}
+	res.Forward = cache.interp.Apply(nodeU)
 	res.Backward = res.Forward.Invert(4)
 	res.Warped = res.Backward.WarpScalar(ps.alignedPreop)
 	return nil

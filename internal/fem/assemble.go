@@ -117,7 +117,8 @@ func (s *System) checkShape() {
 // stiffness matrix, load vector, node partition and assembly counters
 // as assembly produced them, before any Dirichlet elimination. The mesh
 // reference is left nil for the caller to re-link from its own
-// artifact. Shape violations are reported as errors so a drifted blob
+// artifact. Shape violations, and a partition whose ranges do not
+// tile the nodes in order, are reported as errors so a drifted blob
 // fails decode instead of panicking.
 func SystemFromParts(k *sparse.CSR, f []float64, pt par.Partition, counters *par.Counters) (*System, error) {
 	if k == nil || counters == nil {
@@ -126,9 +127,16 @@ func SystemFromParts(k *sparse.CSR, f []float64, pt par.Partition, counters *par
 	if len(f) != k.N {
 		return nil, fmt.Errorf("fem: system parts: load vector length %d, matrix order %d", len(f), k.N)
 	}
-	if 3*pt.N != k.N || len(pt.Starts) != pt.P+1 {
+	if k.N%3 != 0 || pt.N != k.N/3 || len(pt.Starts) != pt.P+1 {
 		return nil, fmt.Errorf("fem: system parts: node partition (N=%d, P=%d, starts=%d) does not cover %d DOFs",
 			pt.N, pt.P, len(pt.Starts), k.N)
+	}
+	tiles := pt.P >= 1 && pt.Starts[0] == 0 && pt.Starts[pt.P] == pt.N
+	for r := 0; tiles && r < pt.P; r++ {
+		tiles = pt.Starts[r+1] >= pt.Starts[r]
+	}
+	if !tiles {
+		return nil, errors.New("fem: system parts: node partition ranges do not tile the nodes in order")
 	}
 	if counters.P != pt.P || len(counters.Flops) != pt.P ||
 		len(counters.BytesSent) != pt.P || len(counters.Messages) != pt.P {

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/geom"
 	"repro/internal/volume"
@@ -18,7 +19,6 @@ import (
 // covered voxel, per the declared shape contract.
 //
 //lint:shape len(nodes)==4*len(vox) len(w)==4*len(vox)
-//lint:precision storage=w
 type InterpTable struct {
 	grid volume.Grid
 	// vox is the linear voxel index of each covered voxel, in element
@@ -134,11 +134,30 @@ func (t *InterpTable) TableParts() (g volume.Grid, vox, nodes []int32, w []float
 // InterpTableFromParts reconstructs a table from serialized parts,
 // validating the four-entries-per-voxel shape contract with an error
 // (rather than checkShape's panic) so a corrupt artifact blob fails
-// decode instead of crashing the pipeline.
+// decode instead of crashing the pipeline. It also validates the
+// contents Apply indexes by: the grid must have positive dimensions and
+// int32-addressable size, every voxel index must lie inside it, and no
+// node index may be negative. (Node indices past the mesh are the
+// caller's check: the table does not know the node count.)
 func InterpTableFromParts(g volume.Grid, vox, nodes []int32, w []float64) (*InterpTable, error) {
 	if len(nodes) != 4*len(vox) || len(w) != 4*len(vox) {
 		return nil, fmt.Errorf("fem: interp table parts: %d voxels need %d nodes and weights, got %d and %d",
 			len(vox), 4*len(vox), len(nodes), len(w))
+	}
+	if g.NX <= 0 || g.NY <= 0 || g.NZ <= 0 ||
+		g.NX > math.MaxInt32/g.NY || g.NX*g.NY > math.MaxInt32/g.NZ {
+		return nil, fmt.Errorf("fem: interp table parts: grid %v is empty or not int32-addressable", g)
+	}
+	nvox := int32(g.Len())
+	for _, v := range vox {
+		if v < 0 || v >= nvox {
+			return nil, fmt.Errorf("fem: interp table parts: voxel index %d outside the grid", v)
+		}
+	}
+	for _, id := range nodes {
+		if id < 0 {
+			return nil, fmt.Errorf("fem: interp table parts: negative node index %d", id)
+		}
 	}
 	t := &InterpTable{grid: g, vox: vox, nodes: nodes, w: w}
 	t.checkShape()
@@ -161,72 +180,6 @@ func (t *InterpTable) Apply(nodeU []geom.Vec3) *volume.Field {
 		var d geom.Vec3
 		for a := 0; a < 4; a++ {
 			d = d.Add(nodeU[t.nodes[b+a]].Scale(t.w[b+a]))
-		}
-		idx := t.vox[n]
-		f.DX[idx] = float32(d.X)
-		f.DY[idx] = float32(d.Y)
-		f.DZ[idx] = float32(d.Z)
-	}
-	return f
-}
-
-// InterpTable32 is the float32-storage variant of InterpTable used by
-// mixed-precision sessions: barycentric weights are demoted to float32
-// (they are convex coefficients in [0,1], far above float32 epsilon),
-// halving the weight-gather traffic of every resample, while Apply
-// still accumulates the interpolated displacement in float64.
-//
-//lint:shape len(nodes)==4*len(vox) len(w32)==4*len(vox)
-//lint:precision storage=w32
-type InterpTable32 struct {
-	grid  volume.Grid
-	vox   []int32
-	nodes []int32
-	w32   []float32
-}
-
-// Compact demotes the table's weights to float32 storage, sharing the
-// voxel and node index arrays with the source table. This is the
-// sanctioned narrowing boundary for interpolation weights (the
-// resample analogue of sparse.NewCSR32).
-//
-//lint:precision convert
-func (t *InterpTable) Compact() *InterpTable32 {
-	c := &InterpTable32{grid: t.grid, vox: t.vox, nodes: t.nodes, w32: make([]float32, len(t.w))}
-	for i, w := range t.w {
-		c.w32[i] = float32(w)
-	}
-	c.checkShape()
-	return c
-}
-
-// checkShape validates the four-entries-per-voxel invariant (see
-// InterpTable.checkShape).
-//
-//lint:shape validator
-func (t *InterpTable32) checkShape() {
-	if len(t.nodes) != 4*len(t.vox) || len(t.w32) != 4*len(t.vox) {
-		panic("fem: inconsistent InterpTable32 shape: nodes/weights are not 4 per covered voxel")
-	}
-}
-
-// Covered returns how many voxels the table interpolates.
-func (t *InterpTable32) Covered() int { return len(t.vox) }
-
-// Grid returns the grid the table was built for.
-func (t *InterpTable32) Grid() volume.Grid { return t.grid }
-
-// Apply rasterizes nodal displacements through the compact table,
-// widening each stored weight to float64 before the multiply so the
-// four-node gather accumulates at full precision; only the final field
-// write narrows, exactly like the float64 table's Apply.
-func (t *InterpTable32) Apply(nodeU []geom.Vec3) *volume.Field {
-	f := volume.NewField(t.grid)
-	for n := range t.vox {
-		b := 4 * n
-		var d geom.Vec3
-		for a := 0; a < 4; a++ {
-			d = d.Add(nodeU[t.nodes[b+a]].Scale(float64(t.w32[b+a])))
 		}
 		idx := t.vox[n]
 		f.DX[idx] = float32(d.X)

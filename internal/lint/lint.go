@@ -82,9 +82,7 @@ func Analyzers() []Analyzer {
 		nanguard{},
 		detguard{},
 		shapecheck{},
-		precguard{},
 		stagedag{},
-		deprecated{},
 	}
 }
 

@@ -98,9 +98,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"nanguard", "repro/internal/solver/nanfixture"},
 		{"detguard", "repro/internal/fem/detfixture"},
 		{"shapecheck", "repro/internal/shapefixture"},
-		{"precguard", "repro/internal/solver/precfixture"},
 		{"stagedag", "repro/internal/dagfixture"},
-		{"deprecated", "repro/internal/deprfixture"},
 	} {
 		t.Run(tc.dir, func(t *testing.T) {
 			pkg := loadFixture(t, filepath.Join("testdata", "src", tc.dir), tc.importPath)
@@ -371,7 +369,7 @@ func TestAnalyzerNamesStable(t *testing.T) {
 	}
 	if got, want := strings.Join(names, " "),
 		"ctxprop spanend metricname errwrap floateq hotalloc hotreach concsafe lockscope phaseorder coordspace"+
-			" aliasguard nanguard detguard shapecheck precguard stagedag deprecated"; got != want {
+			" aliasguard nanguard detguard shapecheck stagedag"; got != want {
 		t.Errorf("Analyzers() = %q, want %q", got, want)
 	}
 }

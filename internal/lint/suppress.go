@@ -35,7 +35,6 @@ var knownDirectives = map[string]bool{
 	"coordspace": true, // frame-conversion marker; see coordspace.go
 	"noalias":    true, // slice-parameter aliasing contract; see aliasguard.go
 	"shape":      true, // length-relation contract; see shapecheck.go
-	"precision":  true, // storage/accumulation precision contract; see precguard.go
 	"stage":      true, // pipeline stage contract; see stagedag.go
 }
 
@@ -103,8 +102,6 @@ func suppressions(pkg *Package, known map[string]bool) (suppressionIndex, []Waiv
 					diags = append(diags, checkNoaliasSyntax(pos, arg)...)
 				case "shape":
 					diags = append(diags, checkShapeSyntax(pos, arg)...)
-				case "precision":
-					diags = append(diags, checkPrecisionSyntax(pos, arg)...)
 				case "stage":
 					diags = append(diags, checkStageSyntax(pos, arg)...)
 				default:
@@ -197,49 +194,6 @@ func checkShapeSyntax(pos token.Position, arg string) []Finding {
 			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
 				Msg: "//lint:shape relation " + strconvQuote(field) +
 					" does not parse: want len(A)==len(B), len(A)==N+1, or len(A)==A[N] forms"})
-		}
-	}
-	return diags
-}
-
-// checkPrecisionSyntax validates a //lint:precision argument list:
-// an optional "convert" marker and/or storage=/accum= fields with
-// comma-separated identifiers, at least one token in total. (Whether
-// the names match fields, parameters, or "result", and whether their
-// types fit the class, is precguard's semantic check.)
-func checkPrecisionSyntax(pos token.Position, arg string) []Finding {
-	fields := strings.Fields(arg)
-	if len(fields) == 0 {
-		return []Finding{{Pos: pos, Analyzer: "lint",
-			Msg: "malformed directive: want //lint:precision [convert] [storage=<name>,...] [accum=<name>,...]"}}
-	}
-	var diags []Finding
-	for _, field := range fields {
-		if field == "convert" {
-			continue
-		}
-		key, val, hasEq := strings.Cut(field, "=")
-		if !hasEq || (key != "storage" && key != "accum") {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:precision field " + strconvQuote(field) +
-					": want convert, storage=, or accum="})
-			continue
-		}
-		count := 0
-		for _, n := range strings.Split(val, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			count++
-			if !identLike(n) {
-				diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-					Msg: "//lint:precision name " + strconvQuote(n) + " is not an identifier"})
-			}
-		}
-		if count == 0 {
-			diags = append(diags, Finding{Pos: pos, Analyzer: "lint",
-				Msg: "//lint:precision " + key + "= lists no names"})
 		}
 	}
 	return diags

@@ -26,13 +26,6 @@ type Options struct {
 	// RecordHistory stores the relative residual after every iteration
 	// in Stats.History (for convergence-curve analysis).
 	RecordHistory bool
-	// StoragePrecision selects the precision of the solver's
-	// bandwidth-bound storage (matrix values, Krylov basis). The zero
-	// value is PrecisionFloat64; PrecisionFloat32 enables the
-	// mixed-precision GMRES path, which demotes storage to float32
-	// while keeping all accumulation in float64. CG ignores this
-	// setting. See Precision.
-	StoragePrecision Precision
 }
 
 // DefaultOptions mirrors the PETSc defaults the paper relies on:
@@ -79,10 +72,7 @@ func (s Stats) String() string {
 		s.Iterations, s.MatVecs, s.Converged, s.FinalResRel)
 }
 
-// norm2 returns the Euclidean norm; the sum is accumulation-class and
-// must never be demoted to float32.
-//
-//lint:precision accum=result
+// norm2 returns the Euclidean norm.
 func norm2(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {
@@ -91,9 +81,7 @@ func norm2(v []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// dot returns the inner product; accumulation-class like norm2.
-//
-//lint:precision accum=result
+// dot returns the inner product.
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
@@ -115,7 +103,6 @@ func GMRES(a *sparse.CSR, b, x0 []float64, m Preconditioner, opts Options) ([]fl
 // dimension, per the declared shape contract.
 //
 //lint:shape len(z)==len(r) len(w)==len(r) len(zw)==len(r) len(v)==len(h) len(sn)==len(cs) len(y)==len(cs) len(g)==len(cs)+1 len(v)==len(g)
-//lint:precision accum=r,z,w,zw,h,cs,sn,g,y
 type gmresWorkspace struct {
 	r, z, w, zw []float64
 	v, h        [][]float64
@@ -354,42 +341,17 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 		copy(x, x0)
 	}
 
-	// The mixed-precision mode demotes the matrix values once per solve
-	// and swaps in the float32-basis cycle kernel; everything around the
-	// cycle (restart policy, convergence accounting, telemetry) is
-	// shared with the float64 path.
-	mixed := opts.StoragePrecision == PrecisionFloat32
-	var (
-		ws   *gmresWorkspace
-		ws32 *gmresWorkspace32
-		a32  *sparse.CSR32
-	)
-	if mixed {
-		ws32 = newGMRESWorkspace32(n, restart)
-		a32 = sparse.NewCSR32(a)
-	} else {
-		ws = newGMRESWorkspace(n, restart)
-	}
+	ws := newGMRESWorkspace(n, restart)
 	matvec := func(in, out []float64) {
-		switch {
-		case mixed && parallel:
-			a32.MulVecPar(opts.Partition, in, out)
-		case mixed:
-			a32.MulVec(in, out)
-		case parallel:
+		if parallel {
 			a.MulVecPar(opts.Partition, in, out)
-		default:
+		} else {
 			a.MulVec(in, out)
 		}
 	}
-	// rbuf/zbuf alias the active workspace's residual scratch for the
-	// shared pre- and post-loop residual evaluations.
-	rbuf, zbuf := []float64(nil), []float64(nil)
-	if mixed {
-		rbuf, zbuf = ws32.r, ws32.z
-	} else {
-		rbuf, zbuf = ws.r, ws.z
-	}
+	// rbuf/zbuf alias the workspace's residual scratch for the pre- and
+	// post-loop residual evaluations.
+	rbuf, zbuf := ws.r, ws.z
 
 	var stats Stats
 	stats.WarmStarted = warm
@@ -438,15 +400,8 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 			span.SetAttr("cycle", cycle)
 			histStart := len(stats.History)
 			itersBefore := stats.Iterations
-			var done bool
-			var entryRel, exitRel float64
-			if mixed {
-				done, entryRel, exitRel = gmresCycle32(matvec, b, x, m,
-					ws32, restart, maxIter, tol, beta0, opts.RecordHistory, &stats)
-			} else {
-				done, entryRel, exitRel = gmresCycle(matvec, b, x, m,
-					ws, restart, maxIter, tol, beta0, opts.RecordHistory, &stats)
-			}
+			done, entryRel, exitRel := gmresCycle(matvec, b, x, m,
+				ws, restart, maxIter, tol, beta0, opts.RecordHistory, &stats)
 			// A restart is a cycle that iterated after a previous cycle
 			// already had; the zero-iteration pass confirming convergence
 			// of the prior cycle's iterate is not one.
@@ -454,11 +409,7 @@ func gmres(ctx context.Context, a *sparse.CSR, b, x0 []float64, m Preconditioner
 				stats.Restarts++
 			}
 			if opts.RecordHistory {
-				if mixed {
-					stats.History = append(stats.History, ws32.hist...)
-				} else {
-					stats.History = append(stats.History, ws.hist...)
-				}
+				stats.History = append(stats.History, ws.hist...)
 			}
 			span.SetAttr("entry_rel_residual", entryRel)
 			if done {

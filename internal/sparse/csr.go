@@ -118,12 +118,7 @@ func (b *Builder) Build() *CSR {
 // slack: RowPtr has one entry per row plus the terminating total, and
 // Val/Col run in lockstep up to that total.
 //
-// Val is storage-classified under the precision model (see precguard):
-// the matrix entries are bandwidth-bound data, demotable to float32 via
-// NewCSR32, while every kernel accumulates over them in float64.
-//
 //lint:shape len(RowPtr)==N+1 len(Val)==len(Col) len(Val)==RowPtr[N]
-//lint:precision storage=Val
 type CSR struct {
 	N      int
 	RowPtr []int64
@@ -134,11 +129,26 @@ type CSR struct {
 // CSRFromParts reconstructs a CSR matrix from its raw arrays (a
 // deserialized artifact blob), validating the shape invariants with an
 // error instead of checkShape's panic so corrupt input fails the decode
-// rather than crashing the process.
+// rather than crashing the process. It also validates the contents the
+// kernels index by: RowPtr must start at 0 and never decrease, and
+// every column must lie in [0, n).
 func CSRFromParts(n int, rowPtr []int64, col []int32, val []float64) (*CSR, error) {
 	if n < 0 || len(rowPtr) != n+1 || len(col) != len(val) || int64(len(val)) != rowPtr[n] {
 		return nil, fmt.Errorf("sparse: inconsistent CSR parts: n=%d len(rowPtr)=%d len(col)=%d len(val)=%d",
 			n, len(rowPtr), len(col), len(val))
+	}
+	if rowPtr[0] != 0 {
+		return nil, fmt.Errorf("sparse: CSR rowPtr[0] = %d, want 0", rowPtr[0])
+	}
+	for i := 0; i < n; i++ {
+		if rowPtr[i+1] < rowPtr[i] {
+			return nil, fmt.Errorf("sparse: CSR rowPtr decreases at row %d (%d -> %d)", i, rowPtr[i], rowPtr[i+1])
+		}
+	}
+	for k, c := range col {
+		if c < 0 || int(c) >= n {
+			return nil, fmt.Errorf("sparse: CSR col[%d] = %d out of range for n=%d", k, c, n)
+		}
 	}
 	m := &CSR{N: n, RowPtr: rowPtr, Col: col, Val: val}
 	m.checkShape()
@@ -179,7 +189,6 @@ func (m *CSR) At(i, j int) float64 {
 //lint:noalias x,y
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=x,y
 func (m *CSR) MulVec(x, y []float64) {
 	rp, col, val := m.RowPtr, m.Col, m.Val
 	for i := 0; i < m.N; i++ {
@@ -205,7 +214,6 @@ func (m *CSR) MulVec(x, y []float64) {
 //lint:noalias x,y
 //lint:hotpath
 //lint:noescape
-//lint:precision accum=x,y
 func (m *CSR) MulVecRows(x, y []float64, lo, hi int) {
 	rp, col, val := m.RowPtr, m.Col, m.Val
 	for i := lo; i < hi; i++ {
@@ -224,7 +232,6 @@ func (m *CSR) MulVecRows(x, y []float64, lo, hi int) {
 // x and y inherit MulVecRows' non-aliasing requirement.
 //
 //lint:noalias x,y
-//lint:precision accum=x,y
 func (m *CSR) MulVecPar(pt par.Partition, x, y []float64) {
 	pt.ForEachRank(func(r int) {
 		lo, hi := pt.Range(r)

@@ -214,3 +214,28 @@ func TestAtIsZeroOutsidePattern(t *testing.T) {
 		t.Error("phantom entries")
 	}
 }
+
+// TestCSRFromPartsRejectsBadContents feeds CSRFromParts parts whose
+// lengths agree but whose contents would send MulVec out of range, as
+// a corrupt artifact blob with a valid checksum can. Each must fail
+// the decode; a matrix that is accepted anyway is multiplied, which
+// shows the crash the check prevents.
+func TestCSRFromPartsRejectsBadContents(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		n      int
+		rowPtr []int64
+		col    []int32
+	}{
+		{"col past n", 2, []int64{0, 1, 2}, []int32{0, 2}},
+		{"negative col", 2, []int64{0, 1, 2}, []int32{-1, 1}},
+		{"rowPtr decreases", 3, []int64{0, 2, 1, 3}, []int32{0, 1, 2}},
+		{"rowPtr starts below zero", 2, []int64{-1, 1, 2}, []int32{0, 1}},
+	} {
+		m, err := CSRFromParts(tc.n, tc.rowPtr, tc.col, make([]float64, len(tc.col)))
+		if err == nil {
+			m.MulVec(make([]float64, tc.n), make([]float64, tc.n))
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}

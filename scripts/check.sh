@@ -2,8 +2,8 @@
 # Repository check: formatting, build + vet, the project-native simlint
 # static-analysis suite, the perfgate compiler-fact gate (escape and
 # bounds-check ratchet plus the //lint:noescape kernel contract), the
-# full test suite, fuzz smoke runs, and the whole module under the race
-# detector (short mode).
+# full test suite, the benchmark module's tests, fuzz smoke runs, and
+# the whole module under the race detector (short mode).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -29,6 +29,9 @@ echo "== benchreport -check"
 go run ./cmd/benchreport -check > /dev/null
 echo "== go test ./..."
 go test ./...
+echo "== (cd clinbench && go test .)"
+# clinbench is a nested module that the root ./... pattern skips.
+(cd clinbench && go test .)
 echo "== go test -fuzz (10s per target, list derived from sources)"
 ./scripts/fuzz_smoke.sh
 echo "== go test -race -short ./..."
