@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint perfgate check bench benchreport
+.PHONY: build test lint perfgate check bench benchcheck
 
 build:
 	$(GO) build ./...
@@ -28,23 +28,18 @@ perfgate:
 check:
 	sh scripts/check.sh
 
-# Benchmarks: the Go micro-benchmarks, a pipeline-level run that writes
-# per-stage latency quantiles (from the obs histograms) to
-# BENCH_obs.json, the streaming update-vs-cold comparison that writes
-# BENCH_incremental.json (and fails if the incremental re-solve loses
-# its speedup), the cross-session artifact-cache comparison that writes
-# BENCH_cache.json (and fails if warm sessions lose their speedup or
-# their bit-identity to cold), then the trajectory report comparing the
-# fresh numbers against the previously committed ones
-# (BENCH_REPORT.md/.json).
+# Benchmarks: cmd/bench measures the named workloads of its table
+# (pipeline, incremental, cache) at their fixed shapes, writes their
+# records to BENCH.json and renders BENCH_REPORT.md; it fails on a
+# violated table invariant or on a tracked metric that regressed
+# against HEAD's record of the same shape. Then the Go
+# micro-benchmarks, whose package tests include cmd/bench's checks of
+# the fresh BENCH.json.
 bench:
+	$(GO) run ./cmd/bench
 	$(GO) test -bench=. -benchmem -short ./...
-	$(GO) run ./cmd/benchobs -runs 5 -size 32 -out BENCH_obs.json
-	$(GO) run ./cmd/benchincr -size 64 -updates 4 -out BENCH_incremental.json
-	$(GO) run ./cmd/benchcache -size 48 -rounds 3 -out BENCH_cache.json
-	$(GO) run ./cmd/benchreport -out BENCH_REPORT
 
-# Perf-trajectory gate alone: validate the committed BENCH artifacts'
-# invariants and compare them against the previous commit's values.
-benchreport:
-	$(GO) run ./cmd/benchreport -check
+# Perf-trajectory gate alone: check the committed BENCH.json against
+# the table's invariants and compare it with HEAD's records.
+benchcheck:
+	$(GO) run ./cmd/bench -check

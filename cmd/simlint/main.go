@@ -173,7 +173,7 @@ func printList(analyzers []lint.Analyzer) {
 	vocab("brainsim metric vocabulary (obs.MetricNames)", obs.MetricNames, 40)
 	vocab("brainsim event vocabulary (obs.EventNames)", obs.EventNames, 16)
 	fmt.Println("\nsuppress a finding with:  //lint:ignore <analyzer> <reason> (must be registered in the baseline)")
-	fmt.Println("annotate a kernel with:   //lint:hotpath (enables hotalloc + hotreach checks)")
+	fmt.Println("annotate a kernel with:   //lint:hotpath (enables the hotpath checks)")
 	fmt.Println("pin a kernel's escapes:   //lint:noescape (enforced by cmd/perfgate against compiler facts)")
 	fmt.Println("declare phase contracts:  //lint:phase requires=... provides=... forbids=...")
 	fmt.Println("mark frame conversions:   //lint:coordspace conversion")

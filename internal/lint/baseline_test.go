@@ -58,11 +58,11 @@ func TestBaselineFlagsUnregisteredWaiver(t *testing.T) {
 		{Pos: token.Position{Filename: "/mod/internal/service/admin.go", Line: 10},
 			Analyzer: "errwrap", Reason: "registered"},
 		{Pos: token.Position{Filename: "/mod/internal/par/pool.go", Line: 5},
-			Analyzer: "hotalloc", Reason: "sneaky"},
+			Analyzer: "hotpath", Reason: "sneaky"},
 	}}
 	out := b.Apply("/mod", res, nil)
 	if len(out) != 1 || out[0].Analyzer != "baseline" ||
-		!strings.Contains(out[0].Msg, "//lint:ignore hotalloc is not registered") {
+		!strings.Contains(out[0].Msg, "//lint:ignore hotpath is not registered") {
 		t.Fatalf("Apply = %v, want one unregistered-waiver finding", out)
 	}
 	if out[0].Pos.Filename != "/mod/internal/par/pool.go" {

@@ -1,7 +1,7 @@
 package lint
 
 // This file is the interprocedural layer under the v3 analyzers
-// (hotreach, ctxprop, lockscope): a module-wide call graph over every
+// (hotpath, ctxprop, lockscope): a module-wide call graph over every
 // loaded package, plus a bottom-up effect-summary propagation pass.
 //
 // Design decisions, chosen to match the rest of the suite (precise on

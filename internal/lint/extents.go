@@ -30,9 +30,6 @@ type FuncExtent struct {
 	// NoEscape records //lint:noescape: cmd/perfgate fails the build on
 	// any heap escape the compiler attributes inside this extent.
 	NoEscape bool
-	// Hotpath records //lint:hotpath (the hotalloc/hotreach contract),
-	// reported alongside so the perfgate output can cross-reference.
-	Hotpath bool
 }
 
 // ScanFuncExtents parses — syntax only, no type checking — every
@@ -81,7 +78,6 @@ func ScanFuncExtents(root string) ([]FuncExtent, error) {
 					StartLine: fset.Position(fd.Pos()).Line,
 					EndLine:   fset.Position(fd.End()).Line,
 					NoEscape:  hasDirective(fd.Doc, "noescape"),
-					Hotpath:   hasDirective(fd.Doc, "hotpath"),
 				})
 			}
 		}

@@ -45,10 +45,10 @@ func plain() {}
 	}
 	mul := exts[0]
 	if mul.Name != "kern.MulRow" || mul.File != "ext.go" || mul.Pkg != "." ||
-		mul.StartLine != 9 || mul.EndLine != 15 || !mul.NoEscape || !mul.Hotpath {
-		t.Errorf("MulRow extent = %+v, want kern.MulRow ext.go:9-15 noescape hotpath", mul)
+		mul.StartLine != 9 || mul.EndLine != 15 || !mul.NoEscape {
+		t.Errorf("MulRow extent = %+v, want kern.MulRow ext.go:9-15 noescape", mul)
 	}
-	if p := exts[1]; p.Name != "plain" || p.NoEscape || p.Hotpath || p.StartLine != 17 {
+	if p := exts[1]; p.Name != "plain" || p.NoEscape || p.StartLine != 17 {
 		t.Errorf("plain extent = %+v, want undirected decl at line 17", p)
 	}
 }

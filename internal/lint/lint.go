@@ -13,7 +13,7 @@
 //
 // Since v3 the suite is interprocedural: callgraph.go builds a
 // module-wide call graph with bottom-up effect summaries, and three
-// analyzers consume it — hotreach (a //lint:hotpath kernel may not
+// analyzers consume it — hotpath (a //lint:hotpath kernel may not
 // reach allocating/formatting/locking/blocking code through any call
 // chain), ctxprop (a ctx parameter must flow to every context-capable
 // callee), and lockscope (nothing blocking is reachable while a
@@ -30,8 +30,8 @@
 //
 //	//lint:hotpath
 //
-// directive, which opts their innermost loops into the hotalloc
-// analyzer's allocation checks.
+// directive, which opts their innermost loops into the hotpath
+// analyzer's allocation, locking and blocking checks.
 package lint
 
 import (
@@ -72,8 +72,7 @@ func Analyzers() []Analyzer {
 		metricname{},
 		errwrap{},
 		floateq{},
-		hotalloc{},
-		hotreach{},
+		hotpath{},
 		concsafe{},
 		lockscope{},
 		phaseorder{},
@@ -100,7 +99,13 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	return RunAll(pkgs, analyzers).Findings
 }
 
-// RunAll executes every analyzer over every package, applies
+// RunAll is RunAllCached without a cache.
+func RunAll(pkgs []*Package, analyzers []Analyzer) Result {
+	res, _ := RunAllCached(pkgs, analyzers, nil)
+	return res
+}
+
+// RunAllCached executes every analyzer over every package, applies
 // //lint:ignore suppressions, and returns the surviving findings sorted
 // by file, line, column, analyzer, and message — a total order, so two
 // runs over the same tree emit byte-identical reports. Packages are
@@ -108,35 +113,15 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 // once loading has completed); determinism comes from the final sort,
 // not from scheduling. Malformed suppression directives are reported
 // under the "lint" pseudo-analyzer and cannot themselves be suppressed.
-func RunAll(pkgs []*Package, analyzers []Analyzer) Result {
-	known := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		known[a.Name()] = true
-	}
-	results := make([]Result, len(pkgs))
-	var wg sync.WaitGroup
-	wg.Add(len(pkgs))
-	for i, pkg := range pkgs {
-		go func(i int, pkg *Package) {
-			defer wg.Done()
-			results[i] = runPackage(pkg, analyzers, known)
-		}(i, pkg)
-	}
-	wg.Wait()
-	return mergeResults(results)
-}
-
-// RunAllCached is RunAll with a package-level result cache: packages
-// whose key (own sources + module-internal import closure + analyzer
-// roster + linter sources) is already stored skip analysis entirely and
-// replay the stored findings and waivers. The merged report is
-// byte-identical to an uncached run — the cache only changes where the
-// per-package results come from, not what they contain. A nil cache
-// degrades to RunAll.
+//
+// With a non-nil cache, packages whose key (own sources +
+// module-internal import closure + analyzer roster + linter sources) is
+// already stored skip analysis entirely and replay the stored findings
+// and waivers. The merged report is byte-identical to an uncached run —
+// the cache only changes where the per-package results come from, not
+// what they contain. A nil cache skips the lookups and stores, so every
+// package counts as a miss.
 func RunAllCached(pkgs []*Package, analyzers []Analyzer, c *Cache) (Result, CacheStats) {
-	if c == nil {
-		return RunAll(pkgs, analyzers), CacheStats{}
-	}
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name()] = true
@@ -148,12 +133,16 @@ func RunAllCached(pkgs []*Package, analyzers []Analyzer, c *Cache) (Result, Cach
 	for i, pkg := range pkgs {
 		go func(i int, pkg *Package) {
 			defer wg.Done()
-			if r, ok := c.get(pkg); ok {
-				results[i], hits[i] = r, true
-				return
+			if c != nil {
+				if r, ok := c.get(pkg); ok {
+					results[i], hits[i] = r, true
+					return
+				}
 			}
 			results[i] = runPackage(pkg, analyzers, known)
-			c.put(pkg, results[i])
+			if c != nil {
+				c.put(pkg, results[i])
+			}
 		}(i, pkg)
 	}
 	wg.Wait()

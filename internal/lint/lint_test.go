@@ -88,8 +88,8 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"metricname", "repro/internal/metricfixture"},
 		{"errwrap", "repro/internal/errfixture"},
 		{"floateq", "repro/internal/solver/floatfixture"},
-		{"hotalloc", "repro/internal/hotfixture"},
-		{"hotreach", "repro/internal/hotreachfix"},
+		{"hotpath", "repro/internal/hotpathfix"},
+		{"hotpathcalls", "repro/internal/hotcallfix"},
 		{"concsafe", "repro/internal/par/concfixture"},
 		{"lockscope", "repro/internal/par/lockfixture"},
 		{"phaseorder", "repro/internal/phasefixture"},
@@ -368,7 +368,7 @@ func TestAnalyzerNamesStable(t *testing.T) {
 		}
 	}
 	if got, want := strings.Join(names, " "),
-		"ctxprop spanend metricname errwrap floateq hotalloc hotreach concsafe lockscope phaseorder coordspace"+
+		"ctxprop spanend metricname errwrap floateq hotpath concsafe lockscope phaseorder coordspace"+
 			" aliasguard nanguard detguard shapecheck stagedag"; got != want {
 		t.Errorf("Analyzers() = %q, want %q", got, want)
 	}

@@ -1,6 +1,8 @@
-// Package hotfixture exercises the hotalloc analyzer: functions
-// annotated //lint:hotpath may not allocate in their innermost loops.
-package hotfixture
+// Package hotpathfix exercises the hotpath analyzer on the syntax of
+// the loop itself: the innermost loops of functions annotated
+// //lint:hotpath may not allocate. The hotpathcalls fixture covers the
+// effects reached through module calls and the blocking operations.
+package hotpathfix
 
 import "fmt"
 
@@ -21,10 +23,10 @@ func Dot(a, b []float64) float64 {
 func Alloc(rows [][]float64) []float64 {
 	var out []float64
 	for _, r := range rows {
-		buf := make([]float64, len(r)) // want hotalloc "make inside the innermost loop"
+		buf := make([]float64, len(r)) // want hotpath "make inside the innermost loop"
 		copy(buf, r)
-		out = append(out, buf...)         // want hotalloc "append inside the innermost loop"
-		name := fmt.Sprintf("%d", len(r)) // want hotalloc "fmt.Sprintf inside the innermost loop"
+		out = append(out, buf...)         // want hotpath "append inside the innermost loop"
+		name := fmt.Sprintf("%d", len(r)) // want hotpath "fmt.Sprintf inside the innermost loop"
 		_ = name
 	}
 	return out
@@ -36,7 +38,7 @@ func Alloc(rows [][]float64) []float64 {
 func Box(vals []int) int {
 	n := 0
 	for _, v := range vals {
-		n += sink(any(v)) // want hotalloc "boxes the value"
+		n += sink(any(v)) // want hotpath "boxes the value"
 	}
 	return n
 }
@@ -67,7 +69,7 @@ func Hoisted(rows [][]float64) []float64 {
 // Stale carries the directive but has no loops.
 //
 //lint:hotpath
-func Stale() float64 { // want hotalloc "without loops; drop the stale annotation"
+func Stale() float64 { // want hotpath "without loops; drop the stale annotation"
 	return 1
 }
 
@@ -86,7 +88,7 @@ func Unannotated(n int) []int {
 func Waived(rows [][]float64) int {
 	n := 0
 	for _, r := range rows {
-		//lint:ignore hotalloc fixture demonstrates an accepted suppression
+		//lint:ignore hotpath fixture demonstrates an accepted suppression
 		buf := make([]float64, len(r))
 		n += len(buf)
 	}

@@ -1,7 +1,8 @@
-// Package hotreachfix exercises the hotreach analyzer: transitive
-// effect summaries over the module call graph, checked in the
-// innermost loops of //lint:hotpath functions.
-package hotreachfix
+// Package hotcallfix exercises the hotpath analyzer through the module
+// call graph: the innermost loops of functions annotated //lint:hotpath
+// may not allocate, lock or block through any chain of module calls
+// (transitive effect summaries), nor block or spawn in the loop body.
+package hotcallfix
 
 import (
 	"sync"
@@ -46,19 +47,19 @@ func Kernel(xs []float64) float64 {
 func BadKernel(xs []float64) float64 {
 	s := 0.0
 	for i := range xs {
-		s += deep(xs[i]) // want hotreach "hotreachfix.deep -> hotreachfix.deeper -> hotreachfix.tally: sync.Mutex.Lock"
+		s += deep(xs[i]) // want hotpath "hotcallfix.deep -> hotcallfix.deeper -> hotcallfix.tally: sync.Mutex.Lock"
 	}
 	return s
 }
 
-// GrowKernel reaches an allocation hotalloc cannot see (the append is
-// in the callee, not the loop).
+// GrowKernel reaches an allocation the loop's own syntax does not show
+// (the append is in the callee, not the loop).
 //
 //lint:hotpath
 func GrowKernel(xs []float64) float64 {
 	s := 0.0
 	for i := range xs {
-		xs = grow(xs) // want hotreach "reaches code that allocates: hotreachfix.grow: append"
+		xs = grow(xs) // want hotpath "reaches code that allocates: hotcallfix.grow: append"
 		s += xs[i]
 	}
 	return s
@@ -70,7 +71,7 @@ func GrowKernel(xs []float64) float64 {
 func ChanKernel(xs []float64, ch chan float64) float64 {
 	s := 0.0
 	for _, x := range xs {
-		ch <- x // want hotreach "channel send"
+		ch <- x // want hotpath "channel send"
 		s += x
 	}
 	return s
@@ -81,7 +82,7 @@ func ChanKernel(xs []float64, ch chan float64) float64 {
 //lint:hotpath
 func SleepKernel(xs []float64) {
 	for range xs {
-		time.Sleep(time.Millisecond) // want hotreach "time.Sleep"
+		time.Sleep(time.Millisecond) // want hotpath "time.Sleep"
 	}
 }
 
@@ -90,7 +91,7 @@ func SleepKernel(xs []float64) {
 //lint:hotpath
 func SpawnKernel(xs []float64) {
 	for _, x := range xs {
-		go square(x) // want hotreach "spawns a goroutine per iteration"
+		go square(x) // want hotpath "spawns a goroutine per iteration"
 	}
 }
 

@@ -58,7 +58,7 @@ func KnownSpanName(name string) bool {
 	return ok
 }
 
-// Metric names. The service layer, cmd/brainsim, cmd/benchobs and the
+// Metric names. The service layer, cmd/brainsim, cmd/bench and the
 // runtime collector all publish under this vocabulary, so dashboards
 // built against one surface work against the others. The simlint
 // `metricname` analyzer rejects Registry.Counter/Gauge/Histogram calls

@@ -56,9 +56,9 @@ func TestAttributeCountsAndContract(t *testing.T) {
 	diags := ParseDiagnostics([]byte(buildOutput))
 	extents := []lint.FuncExtent{
 		{File: "internal/sparse/csr.go", Pkg: "internal/sparse", Name: "CSR.MulVec",
-			StartLine: 141, EndLine: 158, NoEscape: true, Hotpath: true},
+			StartLine: 141, EndLine: 158, NoEscape: true},
 		{File: "internal/solver/gmres.go", Pkg: "internal/solver", Name: "gmresCycle",
-			StartLine: 127, EndLine: 249, NoEscape: true, Hotpath: true},
+			StartLine: 127, EndLine: 249, NoEscape: true},
 		{File: "internal/solver/gmres.go", Pkg: "internal/solver", Name: "GMRESContext",
 			StartLine: 258, EndLine: 380},
 	}

@@ -25,8 +25,8 @@ echo "== simlint ./..."
 go run ./cmd/simlint ./...
 echo "== perfgate"
 go run ./cmd/perfgate
-echo "== benchreport -check"
-go run ./cmd/benchreport -check > /dev/null
+echo "== bench -check"
+go run ./cmd/bench -check > /dev/null
 echo "== go test ./..."
 go test ./...
 echo "== (cd clinbench && go test .)"
